@@ -12,6 +12,7 @@
 //   PHIGRAPH_HOST_THREADS = engine worker threads on this host (default 4)
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -154,51 +155,39 @@ DeviceRunResult<Program> run_device(const graph::Csr& g, const Program& prog,
   return out;
 }
 
-template <core::VertexProgram Program>
 struct HeteroRunResult {
-  metrics::RunTrace cpu_trace;
-  metrics::RunTrace mic_trace;
-  metrics::PhaseTrace cpu_phases;
-  metrics::PhaseTrace mic_phases;
-  metrics::RankIo cpu_io;  // per-peer exchange bytes, indexed by rank
-  metrics::RankIo mic_io;
+  std::vector<core::RunResult> ranks;  // CPU = rank 0, MIC = rank 1
   sim::HeteroEstimate modeled;
-  int supersteps = 0;
   bool completed = true;
   metrics::FailoverStats failover;
 };
 
+/// The paper's CPU+MIC run: a two-rank ClusterEngine over `owner` (ranks
+/// 0/1), priced by the lockstep cluster model.
 template <core::VertexProgram Program>
-HeteroRunResult<Program> run_hetero(const graph::Csr& g, const Program& prog,
-                                    std::vector<Device> owner,
-                                    DeviceSetup cpu, DeviceSetup mic,
-                                    int max_supersteps,
-                                    const sim::LinkSpec& link = {}) {
+HeteroRunResult run_hetero(const graph::Csr& g, const Program& prog,
+                           std::vector<int> owner, DeviceSetup cpu,
+                           DeviceSetup mic, int max_supersteps,
+                           const sim::LinkSpec& link = {}) {
   cpu.engine.max_supersteps = mic.engine.max_supersteps = max_supersteps;
   cpu.profile.msg_bytes = mic.profile.msg_bytes =
       sizeof(typename Program::message_t);
   cpu.profile.value_bytes = mic.profile.value_bytes =
       sizeof(typename Program::vertex_value_t);
-  vid_t cpu_n = 0;
-  for (Device d : owner)
-    if (d == Device::Cpu) ++cpu_n;
+  const auto cpu_n =
+      static_cast<vid_t>(std::count(owner.begin(), owner.end(), 0));
   cpu.profile.num_vertices = std::max<vid_t>(1, cpu_n);
   mic.profile.num_vertices =
       std::max<vid_t>(1, g.num_vertices() - cpu_n);
-  core::HeteroEngine<Program> he(g, std::move(owner), prog, cpu.engine,
-                                 mic.engine);
-  auto res = he.run();
-  HeteroRunResult<Program> out;
-  out.modeled =
-      sim::model_hetero(res.cpu.trace, cpu.spec, cpu.profile, res.mic.trace,
-                        mic.spec, mic.profile, link);
-  out.supersteps = res.cpu.supersteps;
-  out.cpu_trace = std::move(res.cpu.trace);
-  out.mic_trace = std::move(res.mic.trace);
-  out.cpu_phases = std::move(res.cpu.phases);
-  out.mic_phases = std::move(res.mic.phases);
-  out.cpu_io = std::move(res.cpu.io);
-  out.mic_io = std::move(res.mic.io);
+  core::ClusterEngine<Program> ce(g, std::move(owner), prog,
+                                  {cpu.engine, mic.engine});
+  auto res = ce.run();
+  HeteroRunResult out;
+  out.modeled = sim::model_cluster(
+      {{&res.ranks[0].trace, cpu.spec, cpu.profile},
+       {&res.ranks[1].trace, mic.spec, mic.profile}},
+      link);
+  out.ranks = std::move(res.ranks);
   out.completed = res.completed;
   out.failover = res.failover;
   return out;

@@ -22,7 +22,7 @@ using core::ExecMode;
 
 template <core::VertexProgram Program>
 void run_app(const char* app, const graph::Csr& g, const Program& prog,
-             int iters, partition::Ratio ratio, bool mic_pipe,
+             int iters, const partition::RankWeights& ratio, bool mic_pipe,
              const bench::AppCost& cost, const char* paper_row) {
   const auto cpu_lock = with_cost(bench::cpu_setup(ExecMode::kLocking), cost);
   const auto mic_lock = with_cost(bench::mic_setup(ExecMode::kLocking), cost);
@@ -50,7 +50,7 @@ void run_app(const char* app, const graph::Csr& g, const Program& prog,
   const double mic_many = std::min(mic_run_lock.modeled.execution(),
                                    mic_run_pipe.modeled.execution());
 
-  const auto owner = partition::hybrid_partition(
+  const auto owner = partition::hybrid_partition_k(
       g, ratio, {.num_blocks = 256, .seed = 42});
   const auto hetero = bench::run_hetero(
       g, prog, owner, cpu_lock,

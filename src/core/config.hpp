@@ -99,7 +99,7 @@ struct EngineConfig {
   /// heterogeneous runs. A peer that misses the deadline is declared dead:
   /// the waiting rank poisons the channels and fails over (see DESIGN.md
   /// §6). Generous by default — failing ranks poison their peer *immediately*
-  /// via Exchange::poison, so the deadline only catches wedged (not crashed)
+  /// via AllToAll::poison, so the deadline only catches wedged (not crashed)
   /// devices.
   int exchange_deadline_ms = 30000;
 

@@ -24,7 +24,7 @@
 // Fault tolerance (DESIGN.md §6): exceptions escaping the three user
 // callbacks on team threads are captured and rethrown on the orchestrator
 // (a team thread letting one escape would std::terminate). On heterogeneous
-// runs the orchestrator converts any such fault into an Exchange poison —
+// runs the orchestrator converts any such fault into an AllToAll poison —
 // the peer wakes immediately with a structured FaultReport — and run()
 // returns with RunResult::failed set instead of crashing. Peer exchanges
 // are deadline-bounded, and an optional checkpoint store snapshots
@@ -79,10 +79,6 @@ struct RunResult {
   /// gates.
   metrics::PhaseTrace phases;
   double host_seconds = 0;
-  double gen_seconds = 0;
-  double exchange_seconds = 0;
-  double process_seconds = 0;
-  double update_seconds = 0;
   /// Per-peer exchange traffic (bytes to / from each other rank), sized by
   /// the run's rank count. Single-device runs carry one all-zero entry.
   metrics::RankIo io;
@@ -315,11 +311,6 @@ class DeviceEngine {
     res.host_seconds = total.seconds();
     res.io.bytes_to = bytes_to_;
     res.io.bytes_from = bytes_from_;
-    const metrics::PhaseSeconds tot = metrics::phase_totals(res.phases);
-    res.gen_seconds = tot.generate;
-    res.exchange_seconds = tot.exchange;
-    res.process_seconds = tot.process;
-    res.update_seconds = tot.update;
     return res;
   }
 

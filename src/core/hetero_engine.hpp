@@ -5,14 +5,15 @@
 // structure, though parameters such as numbers of threads running on each
 // device are separately configured" — wired by an all-to-all data exchange
 // and a termination-control exchange, rank 0 running on the calling thread
-// and every other rank on its own host thread. The paper's CPU+MIC
-// configuration is the two-rank case, exposed unchanged as HeteroEngine.
+// and every other rank on its own std::jthread. The paper's CPU+MIC
+// configuration is the two-rank case: ClusterEngine with two configs, CPU =
+// rank 0, MIC = rank 1.
 //
-// Fault tolerance (DESIGN.md §6/§12): the spawned rank threads are joined by
-// a scope guard, so an exception on the rank-0 path can no longer
-// std::terminate the process with a joinable thread in flight. When any rank
-// faults, run() walks a graceful-degradation recovery ladder instead of
-// collapsing straight to one device:
+// Fault tolerance (DESIGN.md §6/§12): std::jthread joins on destruction, so
+// an exception on the rank-0 path unwinds instead of std::terminate-ing the
+// process with a joinable thread in flight. When any rank faults, run()
+// walks a graceful-degradation recovery ladder instead of collapsing
+// straight to one device:
 //
 //   rung 1 — transient respawn: for a fault classified kTransient (timeouts,
 //     fault::TransientError, injected transient specs), rebuild the failed
@@ -35,7 +36,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -56,40 +56,6 @@
 #include "src/partition/stream_partition.hpp"
 
 namespace phigraph::core {
-
-/// Joins the wrapped thread on scope exit. Keeps run() exception-safe:
-/// std::thread's destructor calls std::terminate when the thread is still
-/// joinable, so without the guard any throw between spawn and join
-/// (user-program exception, PG_CHECK in a death test, ...) kills the whole
-/// process instead of unwinding.
-class ThreadJoiner {
- public:
-  explicit ThreadJoiner(std::thread& t) noexcept : t_(t) {}
-  ~ThreadJoiner() {
-    if (t_.joinable()) t_.join();
-  }
-  ThreadJoiner(const ThreadJoiner&) = delete;
-  ThreadJoiner& operator=(const ThreadJoiner&) = delete;
-
- private:
-  std::thread& t_;
-};
-
-/// Joins every thread of a group on scope exit (the N-rank ThreadJoiner).
-class ThreadGroupJoiner {
- public:
-  explicit ThreadGroupJoiner(std::vector<std::thread>& ts) noexcept
-      : ts_(ts) {}
-  ~ThreadGroupJoiner() {
-    for (auto& t : ts_)
-      if (t.joinable()) t.join();
-  }
-  ThreadGroupJoiner(const ThreadGroupJoiner&) = delete;
-  ThreadGroupJoiner& operator=(const ThreadGroupJoiner&) = delete;
-
- private:
-  std::vector<std::thread>& ts_;
-};
 
 /// N symmetric runtime instances over one graph: rank r owns the vertices
 /// with owner_rank[v] == r and runs under its own EngineConfig (the rank
@@ -159,13 +125,7 @@ class ClusterEngine {
               ? std::max(1, budget - recovery_cfg_.movers)
               : std::max(1, budget);
     }
-    auto parts = LocalGraph::split_n(g, owner_rank_, nranks_);
-    engines_.reserve(static_cast<std::size_t>(nranks_));
-    for (int r = 0; r < nranks_; ++r)
-      engines_.push_back(std::make_unique<Engine>(
-          std::move(parts[static_cast<std::size_t>(r)]), prog_,
-          cfgs_[static_cast<std::size_t>(r)],
-          typename Engine::PeerLink{r, &data_, &control_}));
+    engines_ = build_engines(owner_rank_, cfgs_, data_, control_);
   }
 
   /// Scheme-deriving constructor: no explicit owner map — vertices are
@@ -192,9 +152,9 @@ class ClusterEngine {
     Result res;
     int backoff_ms = retry_.backoff_ms;
     for (;;) {
-      run_ranks(res);
+      res.ranks = run_epoch(engines_);
       fault::FaultReport epoch_fault;
-      if (!collect_failure(res, epoch_fault)) {
+      if (!first_failure(res.ranks, epoch_fault)) {
         finish_full_cluster(res);
         return res;
       }
@@ -242,48 +202,71 @@ class ClusterEngine {
   }
 
  private:
-  static void gather(const Engine& e, std::vector<Value>& out) {
-    const auto& lg = e.local_graph();
-    const auto vals = e.values();
-    for (vid_t u = 0; u < lg.num_local_vertices(); ++u)
-      out[lg.global_id[u]] = vals[u];
+  using Engines = std::vector<std::unique_ptr<Engine>>;
+
+  /// One engine per config over `owner` split cfgs.size() ways, wired to
+  /// `data` and `control`. With `only` >= 0 just that rank's engine is built
+  /// (the other entries stay null) — a respawn replaces one rank.
+  Engines build_engines(std::vector<int> owner,
+                        const std::vector<EngineConfig>& cfgs,
+                        comm::AllToAll<typename Engine::Batch>& data,
+                        comm::AllToAll<std::uint64_t>& control,
+                        int only = -1) const {
+    const int n = static_cast<int>(cfgs.size());
+    auto parts = LocalGraph::split_n(*graph_, std::move(owner), n);
+    Engines out(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r)
+      if (only < 0 || r == only)
+        out[static_cast<std::size_t>(r)] = std::make_unique<Engine>(
+            std::move(parts[static_cast<std::size_t>(r)]), prog_,
+            cfgs[static_cast<std::size_t>(r)],
+            typename Engine::PeerLink{r, &data, &control});
+    return out;
   }
 
-  /// One BSP epoch over the full rank set: rank 0 on the calling thread,
-  /// every other rank on its own host thread, joined by a scope guard.
-  void run_ranks(Result& res) {
-    res.ranks.clear();
-    res.ranks.resize(static_cast<std::size_t>(nranks_));
-    std::vector<std::thread> threads;
-    ThreadGroupJoiner joiner(threads);
-    threads.reserve(static_cast<std::size_t>(nranks_ - 1));
-    for (int r = 1; r < nranks_; ++r)
-      threads.emplace_back([this, r, &res] {
-        res.ranks[static_cast<std::size_t>(r)] =
-            engines_[static_cast<std::size_t>(r)]->run();
-      });
-    res.ranks[0] = engines_[0]->run();
+  /// One BSP epoch over `engines`: rank 0 on the calling thread, every other
+  /// rank on its own std::jthread (joined on scope exit, also when rank 0
+  /// throws).
+  static std::vector<RunResult> run_epoch(const Engines& engines) {
+    std::vector<RunResult> out(engines.size());
+    std::vector<std::jthread> threads;
+    threads.reserve(engines.size() - 1);
+    for (std::size_t r = 1; r < engines.size(); ++r)
+      threads.emplace_back([&out, &engines, r] { out[r] = engines[r]->run(); });
+    out[0] = engines[0]->run();
+    return out;
   }
 
-  /// True if any rank failed; fills `out` with this epoch's origin report:
+  /// True if any rank failed; fills `out` with the epoch's origin report:
   /// the first failed rank carrying a valid fault (a rank that observed a
   /// peer failure carries the origin's report, so any valid one names the
   /// true culprit), falling back to the first failure.
-  static bool collect_failure(const Result& res, fault::FaultReport& out) {
-    bool failed = false;
-    for (const RunResult& r : res.ranks) failed = failed || r.failed;
-    if (!failed) return false;
-    for (const RunResult& r : res.ranks)
-      if (r.failed && r.fault.valid()) {
+  static bool first_failure(const std::vector<RunResult>& ranks,
+                            fault::FaultReport& out) {
+    const RunResult* first = nullptr;
+    for (const RunResult& r : ranks) {
+      if (!r.failed) continue;
+      if (r.fault.valid()) {
         out = r.fault;
         return true;
       }
-    for (const RunResult& r : res.ranks)
-      if (r.failed) {
-        out = r.fault;
-        break;
-      }
+      if (first == nullptr) first = &r;
+    }
+    if (first == nullptr) return false;
+    out = first->fault;
     return true;
+  }
+
+  /// Global vertex values gathered over every engine of `src`.
+  std::vector<Value> gather(const Engines& src) const {
+    std::vector<Value> out(graph_->num_vertices());
+    for (const auto& e : src) {
+      const auto& lg = e->local_graph();
+      const auto vals = e->values();
+      for (vid_t u = 0; u < lg.num_local_vertices(); ++u)
+        out[lg.global_id[u]] = vals[u];
+    }
+    return out;
   }
 
   /// Success path for the full rank set (fault-free run or a completed
@@ -305,8 +288,7 @@ class ClusterEngine {
                    audit::phase_name(
                        engines_[static_cast<std::size_t>(r)]->audit_phase()));
 #endif
-    res.global_values.resize(graph_->num_vertices());
-    for (const auto& e : engines_) gather(*e, res.global_values);
+    res.global_values = gather(engines_);
   }
 
   /// Account one recovery epoch: bump the epoch count, track the deepest
@@ -323,66 +305,52 @@ class ClusterEngine {
     res.failover.lost_supersteps = std::max(res.failover.lost_supersteps, lost);
   }
 
-  /// Newest resume superstep whose frame CRC-validates in EVERY store of
-  /// `src` — a frame corrupted on any rank (torn write, injected fault, bit
-  /// flip) drops that superstep and the search falls back to the previous
-  /// one. Leaves `frames` empty (resume 0) when any store is missing or no
-  /// superstep validates everywhere.
-  static void find_common_frames(
-      const std::vector<std::unique_ptr<Engine>>& src, int& resume,
-      std::vector<fault::CheckpointFrame>& frames) {
+  /// Global (vertex-indexed) values and active flags from the newest
+  /// superstep whose frame CRC-validates in EVERY checkpoint store of `src`
+  /// — a frame corrupted on any rank (torn write, injected fault, bit flip)
+  /// drops that superstep and the search falls back to the previous one.
+  /// Returns false with resume 0 when any store is missing, no superstep
+  /// validates everywhere, or a frame does not match its partition's shape
+  /// (a structurally damaged but CRC-lucky file): the caller then restarts
+  /// from superstep 0 instead of loading garbage.
+  bool common_state(const Engines& src, int& resume, std::vector<Value>& vals,
+                    std::vector<std::uint8_t>& act) const {
     resume = 0;
-    frames.clear();
     for (const auto& e : src)
-      if (e->checkpoint_store() == nullptr) return;
+      if (e->checkpoint_store() == nullptr) return false;
     for (int s : src[0]->checkpoint_store()->valid_supersteps()) {
-      std::vector<fault::CheckpointFrame> cand;
-      cand.reserve(src.size());
+      std::vector<fault::CheckpointFrame> frames;
+      frames.reserve(src.size());
       for (const auto& e : src) {
         auto f = e->checkpoint_store()->frame_at(s);
         if (!f) break;
-        cand.push_back(std::move(*f));
+        frames.push_back(std::move(*f));
       }
-      if (cand.size() == src.size()) {
-        frames = std::move(cand);
-        resume = s;
-        return;
-      }
+      if (frames.size() != src.size()) continue;
+      vals.assign(graph_->num_vertices(), Value{});
+      act.assign(graph_->num_vertices(), 0);
+      for (std::size_t r = 0; r < frames.size(); ++r)
+        if (!apply_frame(frames[r], src[r]->local_graph(), vals, act))
+          return false;
+      resume = s;
+      return true;
     }
+    return false;
   }
 
-  /// Restore one engine in place from its own rank's frame. Returns false on
-  /// a shape mismatch (e.g. a structurally damaged but CRC-lucky file).
-  static bool restore_from_frame(Engine& e, const fault::CheckpointFrame& f,
-                                 int resume) {
-    const std::size_t n =
-        static_cast<std::size_t>(e.local_graph().num_local_vertices());
-    if (f.values.size() != n * sizeof(Value) || f.active.size() != n)
-      return false;
-    std::vector<Value> vals(n);
-    if (n > 0) std::memcpy(vals.data(), f.values.data(), f.values.size());
-    e.restore(vals, f.active, resume);
-    return true;
-  }
-
-  /// Rebuild rank r's engine from scratch over its original partition (the
-  /// channels are shared members, so the new engine rejoins the same
-  /// rendezvous).
-  void rebuild_engine(int r) {
-    auto parts = LocalGraph::split_n(*graph_, owner_rank_, nranks_);
-    engines_[static_cast<std::size_t>(r)] = std::make_unique<Engine>(
-        std::move(parts[static_cast<std::size_t>(r)]), prog_,
-        cfgs_[static_cast<std::size_t>(r)],
-        typename Engine::PeerLink{r, &data_, &control_});
-  }
-
-  void rebuild_all_engines() {
-    auto parts = LocalGraph::split_n(*graph_, owner_rank_, nranks_);
-    for (int r = 0; r < nranks_; ++r)
-      engines_[static_cast<std::size_t>(r)] = std::make_unique<Engine>(
-          std::move(parts[static_cast<std::size_t>(r)]), prog_,
-          cfgs_[static_cast<std::size_t>(r)],
-          typename Engine::PeerLink{r, &data_, &control_});
+  /// Seed `e` from global state: its own vertices' values and active flags,
+  /// picked through its global_id table, resuming at `resume`.
+  static void restore_from(Engine& e, const std::vector<Value>& vals,
+                           const std::vector<std::uint8_t>& act, int resume) {
+    const auto& lg = e.local_graph();
+    const std::size_t n = static_cast<std::size_t>(lg.num_local_vertices());
+    std::vector<Value> lv(n);
+    std::vector<std::uint8_t> la(n);
+    for (std::size_t u = 0; u < n; ++u) {
+      lv[u] = vals[lg.global_id[u]];
+      la[u] = act[lg.global_id[u]];
+    }
+    e.restore(lv, la, resume);
   }
 
   /// Ladder rung 1: respawn the failed rank's engine, restore every rank
@@ -397,34 +365,19 @@ class ClusterEngine {
     Timer rec;
     try {
       int resume = 0;
-      std::vector<fault::CheckpointFrame> frames;
-      find_common_frames(engines_, resume, frames);
+      std::vector<Value> vals;
+      std::vector<std::uint8_t> act;
+      const bool have = common_state(engines_, resume, vals, act);
       const int dead = epoch_fault.rank;
-      if (frames.empty() || dead < 0 || dead >= nranks_) {
-        rebuild_all_engines();
-        if (!frames.empty()) {
-          for (int r = 0; r < nranks_; ++r)
-            if (!restore_from_frame(*engines_[static_cast<std::size_t>(r)],
-                                    frames[static_cast<std::size_t>(r)],
-                                    resume)) {
-              rebuild_all_engines();  // shape mismatch: restart from scratch
-              resume = 0;
-              break;
-            }
-        } else {
-          resume = 0;
-        }
+      if (have && dead >= 0 && dead < nranks_) {
+        const auto d = static_cast<std::size_t>(dead);
+        engines_[d] = std::move(
+            build_engines(owner_rank_, cfgs_, data_, control_, dead)[d]);
       } else {
-        rebuild_engine(dead);
-        for (int r = 0; r < nranks_; ++r)
-          if (!restore_from_frame(*engines_[static_cast<std::size_t>(r)],
-                                  frames[static_cast<std::size_t>(r)],
-                                  resume)) {
-            rebuild_all_engines();
-            resume = 0;
-            break;
-          }
+        engines_ = build_engines(owner_rank_, cfgs_, data_, control_);
       }
+      if (have)
+        for (auto& e : engines_) restore_from(*e, vals, act, resume);
       data_.advance_epoch();
       control_.advance_epoch();
       record_epoch(res, epoch_fault, resume, /*rung=*/1, rec.millis());
@@ -454,9 +407,9 @@ class ClusterEngine {
     PG_TRACE_SCOPE(kRecovery, -1, 0);
     Timer rec;
     const int m = nranks_ - 1;
-    std::vector<std::unique_ptr<Engine>> survivors;
     comm::AllToAll<typename Engine::Batch> data2(m);
     comm::AllToAll<std::uint64_t> control2(m);
+    Engines survivors;
     int resume = 0;
     try {
       partition::RankWeights w;
@@ -471,88 +424,27 @@ class ClusterEngine {
       }
       auto owner2 =
           partition::reassign_after_loss(*graph_, owner_rank_, nranks_, dead, w);
-
       // Global restore state from the old rank set's newest common frame.
-      std::vector<fault::CheckpointFrame> frames;
-      find_common_frames(engines_, resume, frames);
-      const vid_t n = graph_->num_vertices();
       std::vector<Value> vals;
       std::vector<std::uint8_t> act;
-      bool have_state = false;
-      if (!frames.empty()) {
-        vals.assign(n, Value{});
-        act.assign(n, 0);
-        bool ok = true;
-        for (std::size_t r = 0; r < frames.size(); ++r)
-          ok = ok && apply_frame(frames[r], engines_[r]->local_graph(), vals,
-                                 act);
-        if (ok)
-          have_state = true;
-        else
-          resume = 0;  // frame shape mismatch: restart from scratch
-      }
-
-      auto parts = LocalGraph::split_n(*graph_, std::move(owner2), m);
-      survivors.reserve(static_cast<std::size_t>(m));
-      for (int r = 0; r < m; ++r)
-        survivors.push_back(std::make_unique<Engine>(
-            std::move(parts[static_cast<std::size_t>(r)]),  prog_,
-            scfgs[static_cast<std::size_t>(r)],
-            typename Engine::PeerLink{r, &data2, &control2}));
-      if (have_state) {
-        for (auto& e : survivors) {
-          const auto& lg = e->local_graph();
-          const std::size_t ln =
-              static_cast<std::size_t>(lg.num_local_vertices());
-          std::vector<Value> lv(ln);
-          std::vector<std::uint8_t> la(ln);
-          for (std::size_t u = 0; u < ln; ++u) {
-            lv[u] = vals[lg.global_id[u]];
-            la[u] = act[lg.global_id[u]];
-          }
-          e->restore(lv, la, resume);
-        }
-      }
+      const bool have = common_state(engines_, resume, vals, act);
+      survivors = build_engines(std::move(owner2), scfgs, data2, control2);
+      if (have)
+        for (auto& e : survivors) restore_from(*e, vals, act, resume);
     } catch (...) {
       return false;  // rebuilding failed: rung 3 from the old rank set
     }
     record_epoch(res, epoch_fault, resume, /*rung=*/2, rec.millis());
 
-    std::vector<RunResult> rr(static_cast<std::size_t>(m));
-    {
-      std::vector<std::thread> threads;
-      ThreadGroupJoiner joiner(threads);
-      threads.reserve(static_cast<std::size_t>(m - 1));
-      for (int r = 1; r < m; ++r)
-        threads.emplace_back([&rr, &survivors, r] {
-          rr[static_cast<std::size_t>(r)] =
-              survivors[static_cast<std::size_t>(r)]->run();
-        });
-      rr[0] = survivors[0]->run();
-    }
-    res.recovery_ranks = std::move(rr);
+    res.recovery_ranks = run_epoch(survivors);
     fault::FaultReport f2;
-    bool failed = false;
-    for (const RunResult& r : res.recovery_ranks) failed = failed || r.failed;
-    if (failed) {
-      for (const RunResult& r : res.recovery_ranks)
-        if (r.failed && r.fault.valid()) {
-          f2 = r.fault;
-          break;
-        }
-      if (!f2.valid())
-        for (const RunResult& r : res.recovery_ranks)
-          if (r.failed) {
-            f2 = r.fault;
-            break;
-          }
+    if (first_failure(res.recovery_ranks, f2)) {
       // The survivors checkpointed their own progress; rung 3 resumes from
       // THEIR newest common frame, not the pre-repartition one.
       fail_over(res, f2, survivors);
       return true;
     }
-    res.global_values.resize(graph_->num_vertices());
-    for (const auto& e : survivors) gather(*e, res.global_values);
+    res.global_values = gather(survivors);
     return true;
   }
 
@@ -561,30 +453,17 @@ class ClusterEngine {
   /// on every rank of `src` (falling back to superstep 0), and run it to
   /// completion.
   void fail_over(Result& res, const fault::FaultReport& epoch_fault,
-                 const std::vector<std::unique_ptr<Engine>>& src) {
+                 const Engines& src) {
     PG_TRACE_SCOPE(kRecovery, -1, 0);
     Timer rec;
 
-    int resume = 0;
-    std::vector<fault::CheckpointFrame> frames;
-    find_common_frames(src, resume, frames);
-
-    // LocalGraph::whole maps local == global, so scattering each partition's
-    // snapshot through its global_id table lands directly on the recovery
-    // engine's indices.
+    // LocalGraph::whole maps local == global, so the global state restores
+    // the recovery engine directly.
     Engine engine(LocalGraph::whole(*graph_), prog_, recovery_cfg_);
-    if (!frames.empty()) {
-      const vid_t n = graph_->num_vertices();
-      std::vector<Value> vals(n);
-      std::vector<std::uint8_t> act(n, 0);
-      bool ok = true;
-      for (std::size_t r = 0; r < frames.size(); ++r)
-        ok = ok && apply_frame(frames[r], src[r]->local_graph(), vals, act);
-      if (!ok)
-        resume = 0;  // frame shape mismatch: restart from scratch
-      else
-        engine.restore(vals, act, resume);
-    }
+    int resume = 0;
+    std::vector<Value> vals;
+    std::vector<std::uint8_t> act;
+    if (common_state(src, resume, vals, act)) engine.restore(vals, act, resume);
     record_epoch(res, epoch_fault, resume, /*rung=*/3, rec.millis());
 
     try {
@@ -625,66 +504,7 @@ class ClusterEngine {
   std::vector<EngineConfig> cfgs_;   // per-rank configs, kept for rebuilds
   EngineConfig recovery_cfg_;
   fault::RetryPolicy retry_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-};
-
-/// The paper's heterogeneous CPU+MIC configuration: a two-rank ClusterEngine
-/// (CPU = rank 0, MIC = rank 1) with the historical Device-keyed interface
-/// and result shape.
-template <VertexProgram Program>
-class HeteroEngine {
- public:
-  using Msg = typename Program::message_t;
-  using Value = typename Program::vertex_value_t;
-  using Engine = DeviceEngine<Program>;
-
-  struct Result {
-    RunResult cpu;
-    RunResult mic;
-    std::vector<Value> global_values;  // gathered over both devices
-
-    // Fault-tolerance outcome; see ClusterEngine::Result.
-    bool completed = true;
-    fault::FaultReport fault;
-    RunResult recovery;
-    metrics::FailoverStats failover;
-  };
-
-  /// owner[v] assigns each global vertex to a device (from src/partition).
-  HeteroEngine(const graph::Csr& g, std::vector<Device> owner, Program prog,
-               EngineConfig cpu_cfg, EngineConfig mic_cfg)
-      : cluster_(g, to_ranks(owner), std::move(prog),
-                 {std::move(cpu_cfg), std::move(mic_cfg)}) {}
-
-  Result run() {
-    auto cr = cluster_.run();
-    Result res;
-    res.cpu = std::move(cr.ranks[0]);
-    res.mic = std::move(cr.ranks[1]);
-    res.global_values = std::move(cr.global_values);
-    res.completed = cr.completed;
-    res.fault = std::move(cr.fault);
-    res.recovery = std::move(cr.recovery);
-    res.failover = cr.failover;
-    return res;
-  }
-
-  [[nodiscard]] const Engine& cpu_engine() const noexcept {
-    return cluster_.engine(0);
-  }
-  [[nodiscard]] const Engine& mic_engine() const noexcept {
-    return cluster_.engine(1);
-  }
-
- private:
-  static std::vector<int> to_ranks(const std::vector<Device>& owner) {
-    std::vector<int> ranks(owner.size());
-    for (std::size_t v = 0; v < owner.size(); ++v)
-      ranks[v] = device_index(owner[v]);
-    return ranks;
-  }
-
-  ClusterEngine<Program> cluster_;
+  Engines engines_;
 };
 
 /// Convenience: run a program on the whole graph with one device config.

@@ -96,20 +96,10 @@ struct RankModelInput {
 };
 
 /// Model an N-rank run: all ranks proceed in BSP lockstep, so each superstep
-/// costs the slowest rank's execution time plus the slowest exchange.
-/// model_hetero is the two-entry case.
+/// costs the slowest rank's execution time plus the slowest exchange. The
+/// paper's CPU+MIC run is the two-entry case.
 [[nodiscard]] HeteroEstimate model_cluster(
     const std::vector<RankModelInput>& ranks, const LinkSpec& link);
-
-/// Model a heterogeneous run: devices proceed in BSP lockstep, so each
-/// superstep costs the slower device's execution time plus the exchange.
-[[nodiscard]] HeteroEstimate model_hetero(const metrics::RunTrace& cpu_trace,
-                                          const DeviceSpec& cpu_dev,
-                                          const ExecProfile& cpu_prof,
-                                          const metrics::RunTrace& mic_trace,
-                                          const DeviceSpec& mic_dev,
-                                          const ExecProfile& mic_prof,
-                                          const LinkSpec& link);
 
 /// Model the same workload executed by clean sequential code (one thread,
 /// no framework machinery) — Table II's "CPU Seq" / "MIC Seq" baselines.

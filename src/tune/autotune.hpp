@@ -10,6 +10,7 @@
 // the same reuse the paper highlights over GPS.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -113,8 +114,8 @@ struct DirectionChoice {
 }
 
 struct RatioChoice {
-  partition::Ratio ratio;
-  double modeled_seconds = 0;  // execution + communication
+  partition::RankWeights ratio;  // {cpu, mic}
+  double modeled_seconds = 0;    // execution + communication
 };
 
 /// Configuration of one device for ratio tuning.
@@ -125,14 +126,15 @@ struct TuneDevice {
 };
 
 /// Picks the CPU:MIC workload ratio: partitions the blocked decomposition at
-/// each candidate ratio, runs the heterogeneous engine once per candidate
-/// (probe runs on the host), and keeps the ratio whose modeled lockstep
-/// time is lowest. The blocked partition is computed once and reused.
+/// each candidate {cpu, mic} weight pair, runs the two-rank cluster once per
+/// candidate (probe runs on the host), and keeps the ratio whose modeled
+/// lockstep time is lowest. The blocked partition is computed once and
+/// reused.
 template <core::VertexProgram Program>
 [[nodiscard]] RatioChoice tune_partition_ratio(
     const graph::Csr& g, const Program& prog,
     const partition::BlockedPartition& bp,
-    std::span<const partition::Ratio> candidates, TuneDevice cpu,
+    std::span<const partition::RankWeights> candidates, TuneDevice cpu,
     TuneDevice mic, const sim::LinkSpec& link = {}) {
   PG_CHECK(!candidates.empty());
   cpu.profile.msg_bytes = mic.profile.msg_bytes =
@@ -142,22 +144,22 @@ template <core::VertexProgram Program>
 
   RatioChoice best;
   best.modeled_seconds = std::numeric_limits<double>::max();
-  for (const auto ratio : candidates) {
-    auto owner = partition::hybrid_partition(bp, ratio);
-    vid_t cpu_n = 0;
-    for (Device d : owner)
-      if (d == Device::Cpu) ++cpu_n;
+  for (const auto& ratio : candidates) {
+    PG_CHECK_MSG(ratio.size() == 2, "ratio candidates are {cpu, mic} pairs");
+    auto owner = partition::hybrid_partition_k(bp, ratio);
+    const auto cpu_n =
+        static_cast<vid_t>(std::count(owner.begin(), owner.end(), 0));
     cpu.profile.num_vertices = std::max<vid_t>(1, cpu_n);
     mic.profile.num_vertices = std::max<vid_t>(1, g.num_vertices() - cpu_n);
 
-    core::HeteroEngine<Program> engine(g, std::move(owner), prog, cpu.engine,
-                                       mic.engine);
-    auto res = engine.run();
-    const auto est =
-        sim::model_hetero(res.cpu.trace, cpu.spec, cpu.profile, res.mic.trace,
-                          mic.spec, mic.profile, link);
-    if (est.total() < best.modeled_seconds)
-      best = {ratio, est.total()};
+    core::ClusterEngine<Program> engine(g, std::move(owner), prog,
+                                        {cpu.engine, mic.engine});
+    const auto res = engine.run();
+    const auto est = sim::model_cluster(
+        {{&res.ranks[0].trace, cpu.spec, cpu.profile},
+         {&res.ranks[1].trace, mic.spec, mic.profile}},
+        link);
+    if (est.total() < best.modeled_seconds) best = {ratio, est.total()};
   }
   return best;
 }

@@ -1,4 +1,4 @@
-// Inter-device communication tests: pairwise exchange (including the
+// Inter-rank communication tests: the all-to-all exchange (including the
 // deadline/poison fault-tolerance protocol) and the combining remote
 // message buffer.
 #include <gtest/gtest.h>
@@ -21,48 +21,55 @@ namespace {
 
 using namespace phigraph;
 
-TEST(Exchange, SwapsValuesBothWays) {
-  comm::Exchange<int> ex;
-  int got0 = 0, got1 = 0;
-  std::thread t1([&] { got1 = ex.exchange(1, 111); });
-  got0 = ex.exchange(0, 222);
-  t1.join();
-  EXPECT_EQ(got0, 111);
-  EXPECT_EQ(got1, 222);
-}
-
-TEST(Exchange, ManyRoundsStayPaired) {
-  comm::Exchange<int> ex;
-  constexpr int kRounds = 2000;
-  std::thread t1([&] {
-    for (int r = 0; r < kRounds; ++r)
-      ASSERT_EQ(ex.exchange(1, r * 2 + 1), r * 2);  // receives rank 0's value
-  });
-  for (int r = 0; r < kRounds; ++r)
-    ASSERT_EQ(ex.exchange(0, r * 2), r * 2 + 1);  // receives rank 1's value
-  t1.join();
-}
-
-TEST(Exchange, MovesLargePayloadsWithoutLoss) {
-  comm::Exchange<std::vector<int>> ex;
-  std::vector<int> a(10000);
-  std::vector<int> b(5000);
-  std::iota(a.begin(), a.end(), 0);
-  std::iota(b.begin(), b.end(), 100000);
-  std::vector<int> got0, got1;
-  std::thread t1([&] { got1 = ex.exchange(1, std::move(b)); });
-  got0 = ex.exchange(0, std::move(a));
-  t1.join();
-  EXPECT_EQ(got0.size(), 5000u);
-  EXPECT_EQ(got0.front(), 100000);
-  EXPECT_EQ(got1.size(), 10000u);
-  EXPECT_EQ(got1.back(), 9999);
-}
-
-// ---- deadline + poison protocol ---------------------------------------------
+// ---- the all-to-all rendezvous at N = 2 (the paper's CPU+MIC pair) and
+// N = 3 ----------------------------------------------------------------------
 
 using comm::ExchangeStatus;
 using std::chrono::milliseconds;
+
+constexpr milliseconds kLong(60000);
+constexpr int kRankCounts[] = {2, 3};
+
+/// Value rank `src` sends to rank `dst` in round `round`.
+int payload(int src, int dst, int round = 0) {
+  return 1000 * round + 10 * src + dst + 1;
+}
+
+std::vector<int> outgoing(int src, int n, int round = 0) {
+  std::vector<int> out(static_cast<std::size_t>(n));
+  for (int dst = 0; dst < n; ++dst) out[dst] = payload(src, dst, round);
+  return out;
+}
+
+/// One round over every rank of `x` (rank 0 on the calling thread), rank r
+/// sending outgoing(r, n, round).
+std::vector<comm::AllToAll<int>::Result> full_round(
+    comm::AllToAll<int>& x, int round = 0, milliseconds deadline = kLong) {
+  const int n = x.num_ranks();
+  std::vector<comm::AllToAll<int>::Result> out(static_cast<std::size_t>(n));
+  std::vector<std::jthread> peers;
+  for (int r = 1; r < n; ++r)
+    peers.emplace_back([&, r] {
+      out[r] = x.exchange_for(r, outgoing(r, n, round), deadline);
+    });
+  out[0] = x.exchange_for(0, outgoing(0, n, round), deadline);
+  peers.clear();  // joins
+  return out;
+}
+
+/// Every rank received exactly the values its peers sent it in `round`.
+void expect_delivered(const std::vector<comm::AllToAll<int>::Result>& got,
+                      int round = 0) {
+  const int n = static_cast<int>(got.size());
+  for (int dst = 0; dst < n; ++dst) {
+    ASSERT_EQ(got[dst].status, ExchangeStatus::kOk) << "rank " << dst;
+    for (int src = 0; src < n; ++src) {
+      if (src == dst) continue;
+      EXPECT_EQ(got[dst].values[src], payload(src, dst, round))
+          << "slot " << src << " -> " << dst << " round " << round;
+    }
+  }
+}
 
 fault::FaultReport test_report(int rank) {
   fault::FaultReport r;
@@ -73,86 +80,162 @@ fault::FaultReport test_report(int rank) {
   return r;
 }
 
+TEST(Exchange, SwapsValuesBothWays) {
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<int> x(n);
+    expect_delivered(full_round(x));
+  }
+}
+
+TEST(Exchange, ManyRoundsStayPaired) {
+  phigraph::testing::Watchdog dog(std::chrono::seconds(120));
+  constexpr int kRounds = 2000;
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<int> x(n);
+    std::atomic<int> mismatches{0};
+    const auto rank_loop = [&](int r) {
+      for (int round = 0; round < kRounds; ++round) {
+        const auto got = x.exchange_for(r, outgoing(r, n, round), kLong);
+        bool ok = got.status == ExchangeStatus::kOk;
+        for (int src = 0; ok && src < n; ++src)
+          ok = src == r || got.values[src] == payload(src, r, round);
+        if (!ok) mismatches.fetch_add(1);
+      }
+    };
+    {
+      std::vector<std::jthread> peers;
+      for (int r = 1; r < n; ++r) peers.emplace_back(rank_loop, r);
+      rank_loop(0);
+    }
+    EXPECT_EQ(mismatches.load(), 0);
+  }
+}
+
+TEST(Exchange, MovesLargePayloadsWithoutLoss) {
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<std::vector<int>> x(n);
+    // Rank src sends 10000 / (src + 1) consecutive ints starting at
+    // 100000 * src + 1000 * dst to every dst.
+    const auto send = [n](int src) {
+      std::vector<std::vector<int>> out(static_cast<std::size_t>(n));
+      for (int dst = 0; dst < n; ++dst) {
+        out[dst].resize(static_cast<std::size_t>(10000 / (src + 1)));
+        std::iota(out[dst].begin(), out[dst].end(), 100000 * src + 1000 * dst);
+      }
+      return out;
+    };
+    std::vector<comm::AllToAll<std::vector<int>>::Result> got(
+        static_cast<std::size_t>(n));
+    {
+      std::vector<std::jthread> peers;
+      for (int r = 1; r < n; ++r)
+        peers.emplace_back(
+            [&, r] { got[r] = x.exchange_for(r, send(r), kLong); });
+      got[0] = x.exchange_for(0, send(0), kLong);
+    }
+    for (int dst = 0; dst < n; ++dst) {
+      ASSERT_EQ(got[dst].status, ExchangeStatus::kOk);
+      for (int src = 0; src < n; ++src) {
+        if (src == dst) continue;
+        const auto& v = got[dst].values[src];
+        ASSERT_EQ(v.size(), static_cast<std::size_t>(10000 / (src + 1)));
+        EXPECT_EQ(v.front(), 100000 * src + 1000 * dst);
+        EXPECT_EQ(v.back(), 100000 * src + 1000 * dst +
+                                static_cast<int>(v.size()) - 1);
+      }
+    }
+  }
+}
+
+// ---- deadline + poison protocol ---------------------------------------------
+
 TEST(ExchangeFault, PoisonBeforeDepositFailsImmediately) {
-  comm::Exchange<int> ex;
-  ex.poison(1, test_report(1));
-  // A long deadline must not matter: the poison check precedes the deposit.
-  const auto r = ex.exchange_for(0, 7, milliseconds(60000));
-  EXPECT_EQ(r.status, ExchangeStatus::kPeerFailed);
-  EXPECT_EQ(r.fault.rank, 1);
-  EXPECT_EQ(r.fault.superstep, 3);
-  EXPECT_EQ(r.fault.what, "boom");
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<int> x(n);
+    x.poison(n - 1, test_report(n - 1));
+    // A long deadline must not matter: the poison check precedes the
+    // deposit, so each rank returns at once even with nobody else present.
+    for (int r = 0; r < n; ++r) {
+      const auto got = x.exchange_for(r, outgoing(r, n), kLong);
+      EXPECT_EQ(got.status, ExchangeStatus::kPeerFailed) << "rank " << r;
+      EXPECT_EQ(got.fault.rank, n - 1);
+      EXPECT_EQ(got.fault.superstep, 3);
+      EXPECT_EQ(got.fault.what, "boom");
+    }
+  }
 }
 
 TEST(ExchangeFault, PoisonWakesARankWaitingForItsPeer) {
-  comm::Exchange<int> ex;
-  std::thread failer([&] {
-    std::this_thread::sleep_for(milliseconds(50));
-    ex.poison(1, test_report(1));
-  });
-  // Deposits, then blocks waiting for rank 1 — which dies instead of
-  // arriving. The waiter must wake on the poison, well before the deadline.
-  const auto r = ex.exchange_for(0, 7, milliseconds(60000));
-  failer.join();
-  EXPECT_EQ(r.status, ExchangeStatus::kPeerFailed);
-  EXPECT_EQ(r.fault.rank, 1);
+  phigraph::testing::Watchdog dog(std::chrono::seconds(120));
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<int> x(n);
+    // Ranks 0..n-2 deposit, then block waiting for rank n-1 — which dies
+    // instead of arriving. Every waiter must wake on the poison, well before
+    // the deadline.
+    std::vector<comm::AllToAll<int>::Result> got(static_cast<std::size_t>(n));
+    {
+      std::jthread failer([&] {
+        std::this_thread::sleep_for(milliseconds(50));
+        x.poison(n - 1, test_report(n - 1));
+      });
+      std::vector<std::jthread> waiters;
+      for (int r = 1; r < n - 1; ++r)
+        waiters.emplace_back(
+            [&, r] { got[r] = x.exchange_for(r, outgoing(r, n), kLong); });
+      got[0] = x.exchange_for(0, outgoing(0, n), kLong);
+    }
+    for (int r = 0; r < n - 1; ++r) {
+      EXPECT_EQ(got[r].status, ExchangeStatus::kPeerFailed) << "rank " << r;
+      EXPECT_EQ(got[r].fault.rank, n - 1) << "rank " << r;
+    }
+  }
 }
 
 TEST(ExchangeFault, PoisonAfterConsumedRoundNeverReArms) {
-  comm::Exchange<int> ex;
-  // One healthy round completes...
-  std::thread peer([&] {
-    const auto r = ex.exchange_for(1, 11, milliseconds(60000));
-    ASSERT_EQ(r.status, ExchangeStatus::kOk);
-    EXPECT_EQ(r.value, 22);
-  });
-  const auto r0 = ex.exchange_for(0, 22, milliseconds(60000));
-  peer.join();
-  ASSERT_EQ(r0.status, ExchangeStatus::kOk);
-  EXPECT_EQ(r0.value, 11);
-  // ...then rank 0 dies. Every later call, from either rank, fails fast —
-  // retries cannot resurrect the channel.
-  ex.poison(0, test_report(0));
-  for (int round = 0; round < 3; ++round) {
-    const auto r1 = ex.exchange_for(1, 33, milliseconds(60000));
-    EXPECT_EQ(r1.status, ExchangeStatus::kPeerFailed);
-    EXPECT_EQ(r1.fault.rank, 0);
-    const auto r2 = ex.exchange_for(0, 44, milliseconds(60000));
-    EXPECT_EQ(r2.status, ExchangeStatus::kPeerFailed);
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<int> x(n);
+    // One healthy round completes...
+    expect_delivered(full_round(x));
+    // ...then rank 0 dies. Every later call, from any rank, fails fast —
+    // retries cannot resurrect the channel.
+    x.poison(0, test_report(0));
+    for (int round = 1; round <= 3; ++round)
+      for (int r = 0; r < n; ++r) {
+        const auto got = x.exchange_for(r, outgoing(r, n, round), kLong);
+        EXPECT_EQ(got.status, ExchangeStatus::kPeerFailed) << "rank " << r;
+        EXPECT_EQ(got.fault.rank, 0) << "rank " << r;
+      }
   }
 }
 
 TEST(ExchangeFault, FirstPoisonReportWins) {
-  comm::Exchange<int> ex;
-  ex.poison(0, test_report(0));
-  ex.poison(1, test_report(1));
-  EXPECT_TRUE(ex.poisoned());
-  EXPECT_EQ(ex.fault().rank, 0);
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<int> x(n);
+    for (int r = 0; r < n; ++r) x.poison(r, test_report(r));
+    EXPECT_TRUE(x.poisoned());
+    EXPECT_EQ(x.fault().rank, 0);
+  }
 }
 
 TEST(ExchangeFault, TimeoutRetractsTheDepositAndTheChannelStaysUsable) {
-  comm::Exchange<int> ex;
-  // Nobody shows up: rank 0 times out and its deposit is retracted.
-  const auto r = ex.exchange_for(0, 5, milliseconds(20));
-  EXPECT_EQ(r.status, ExchangeStatus::kTimeout);
-  EXPECT_FALSE(ex.poisoned());
-  // A later healthy round pairs the fresh values, not the stale deposit.
-  std::thread peer([&] {
-    const auto rr = ex.exchange_for(1, 2, milliseconds(60000));
-    ASSERT_EQ(rr.status, ExchangeStatus::kOk);
-    EXPECT_EQ(rr.value, 1);
-  });
-  const auto rr = ex.exchange_for(0, 1, milliseconds(60000));
-  peer.join();
-  ASSERT_EQ(rr.status, ExchangeStatus::kOk);
-  EXPECT_EQ(rr.value, 2);
-}
-
-TEST(ExchangeFault, LegacyBlockingExchangeDiesOnAPoisonedChannel) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  comm::Exchange<int> ex;
-  ex.poison(1, test_report(1));
-  EXPECT_DEATH(ex.exchange(0, 1), "dead channel");
+  for (int n : kRankCounts) {
+    SCOPED_TRACE("ranks " + std::to_string(n));
+    comm::AllToAll<int> x(n);
+    // Nobody shows up: rank 0 times out and its deposits are retracted.
+    const auto lone = x.exchange_for(0, outgoing(0, n, /*round=*/7),
+                                     milliseconds(20));
+    EXPECT_EQ(lone.status, ExchangeStatus::kTimeout);
+    EXPECT_FALSE(x.poisoned());
+    // A later healthy round pairs the fresh values, not the stale deposit.
+    expect_delivered(full_round(x, /*round=*/1), /*round=*/1);
+  }
 }
 
 TEST(RemoteBuffer, CombinesPerDestination) {

@@ -84,14 +84,6 @@ TEST(Expect, CheckAbortsWithMessage) {
   PG_CHECK(true);  // no-op
 }
 
-TEST(Types, DeviceHelpers) {
-  EXPECT_EQ(other_device(Device::Cpu), Device::Mic);
-  EXPECT_EQ(other_device(Device::Mic), Device::Cpu);
-  EXPECT_STREQ(device_name(Device::Cpu), "CPU");
-  EXPECT_STREQ(device_name(Device::Mic), "MIC");
-  EXPECT_EQ(device_index(Device::Mic), 1);
-}
-
 TEST(Timer, StopWatchAccumulates) {
   StopWatch w;
   w.start();

@@ -122,13 +122,12 @@ TEST(EngineCounters, HeteroSplitsMessagesByOwnership) {
   const auto solo = core::run_single(g, prog, solo_cfg);
   const auto solo_msgs = metrics::totals(solo.run.trace).msgs_local;
 
-  auto owner = partition::round_robin_partition(g, {1, 1});
-  core::HeteroEngine<apps::Sssp> he(g, std::move(owner), prog,
-                                    cfg(ExecMode::kLocking, 16),
-                                    cfg(ExecMode::kLocking, 64));
-  auto res = he.run();
-  const auto tc = metrics::totals(res.cpu.trace);
-  const auto tm = metrics::totals(res.mic.trace);
+  core::ClusterEngine<apps::Sssp> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}), prog,
+      {cfg(ExecMode::kLocking, 16), cfg(ExecMode::kLocking, 64)});
+  auto res = ce.run();
+  const auto tc = metrics::totals(res.ranks[0].trace);
+  const auto tm = metrics::totals(res.ranks[1].trace);
 
   // Local + remote generation covers every edge-message exactly once.
   EXPECT_EQ(tc.msgs_local + tc.msgs_remote + tm.msgs_local + tm.msgs_remote,
@@ -137,7 +136,7 @@ TEST(EngineCounters, HeteroSplitsMessagesByOwnership) {
   EXPECT_LE(tc.msgs_received, tm.msgs_remote);
   EXPECT_LE(tm.msgs_received, tc.msgs_remote);
   EXPECT_GT(tc.msgs_received, 0u);
-  // Each device updated only its own vertices.
+  // Each rank updated only its own vertices.
   EXPECT_GT(tc.verts_updated, 0u);
   EXPECT_GT(tm.verts_updated, 0u);
 }

@@ -139,16 +139,17 @@ INSTANTIATE_TEST_SUITE_P(
     mode_name);
 
 // ---------------------------------------------------------------------------
-// Heterogeneous CPU+MIC runs.
+// Heterogeneous CPU+MIC runs: ClusterEngine with two configs.
 // ---------------------------------------------------------------------------
 
-std::vector<Device> round_robin_owner(vid_t n, int a, int b) {
-  std::vector<Device> owner(n);
-  for (vid_t v = 0; v < n; ++v)
-    owner[v] = (static_cast<int>(v % static_cast<vid_t>(a + b)) < a)
-                   ? Device::Cpu
-                   : Device::Mic;
-  return owner;
+/// The paper's CPU+MIC configuration: a two-rank cluster (CPU = rank 0,
+/// MIC = rank 1) over a round-robin a:b split.
+template <typename Program>
+core::ClusterEngine<Program> cpu_mic(const graph::Csr& g, int a, int b,
+                                     const Program& prog, EngineConfig cpu,
+                                     EngineConfig mic) {
+  return core::ClusterEngine<Program>(
+      g, partition::round_robin_partition_k(g, {a, b}), prog, {cpu, mic});
 }
 
 EngineConfig cpu_cfg() {
@@ -169,66 +170,58 @@ EngineConfig mic_cfg() {
   return c;
 }
 
-TEST(HeteroEngine, SsspMatchesReference) {
+TEST(ClusterEngine, SsspMatchesReference) {
   const auto g = test_graph();
   const apps::Sssp prog(0);
-  core::HeteroEngine<apps::Sssp> he(g, round_robin_owner(g.num_vertices(), 1, 1),
-                                    prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
+  auto res = cpu_mic(g, 1, 1, prog, cpu_cfg(), mic_cfg()).run();
   const auto ref = apps::reference_run(g, prog);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v], ref[v]) << "vertex " << v;
 }
 
-TEST(HeteroEngine, PageRankMatchesClassic) {
+TEST(ClusterEngine, PageRankMatchesClassic) {
   const auto g = test_graph();
   const apps::PageRank prog;
   auto cc = cpu_cfg();
   auto mc = mic_cfg();
   cc.max_supersteps = mc.max_supersteps = 10;
-  core::HeteroEngine<apps::PageRank> he(
-      g, round_robin_owner(g.num_vertices(), 3, 5), prog, cc, mc);
-  auto res = he.run();
-  EXPECT_EQ(res.cpu.supersteps, 10);
-  EXPECT_EQ(res.mic.supersteps, 10);
+  auto res = cpu_mic(g, 3, 5, prog, cc, mc).run();
+  EXPECT_EQ(res.ranks[0].supersteps, 10);
+  EXPECT_EQ(res.ranks[1].supersteps, 10);
   const auto classic = apps::classic_pagerank(g, 10);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_NEAR(res.global_values[v], classic[v], 1e-3f * (1.0f + classic[v]));
 }
 
-TEST(HeteroEngine, BfsMatchesClassicUnderSkewedPartition) {
+TEST(ClusterEngine, BfsMatchesClassicUnderSkewedPartition) {
   const auto g = test_graph();
   const apps::Bfs prog(5);
-  core::HeteroEngine<apps::Bfs> he(g, round_robin_owner(g.num_vertices(), 1, 4),
-                                   prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
+  auto res = cpu_mic(g, 1, 4, prog, cpu_cfg(), mic_cfg()).run();
   const auto classic = apps::classic_bfs(g, 5);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v], classic[v]) << "vertex " << v;
 }
 
-TEST(HeteroEngine, TopoSortMatchesKahn) {
+TEST(ClusterEngine, TopoSortMatchesKahn) {
   const auto g = gen::dag_like(1500, 15000, 9);
   const apps::TopoSort prog;
-  core::HeteroEngine<apps::TopoSort> he(
-      g, round_robin_owner(g.num_vertices(), 1, 1), prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
+  auto res = cpu_mic(g, 1, 1, prog, cpu_cfg(), mic_cfg()).run();
   const auto levels = apps::classic_topo_levels(g);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v].order, levels[v]);
 }
 
-TEST(HeteroEngine, CommunicationCountersAreConsistent) {
+TEST(ClusterEngine, CommunicationCountersAreConsistent) {
   const auto g = test_graph();
   const apps::Sssp prog(0);
-  core::HeteroEngine<apps::Sssp> he(g, round_robin_owner(g.num_vertices(), 1, 1),
-                                    prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
-  // What one device sends, the other receives, superstep by superstep.
-  ASSERT_EQ(res.cpu.trace.size(), res.mic.trace.size());
-  for (std::size_t s = 0; s < res.cpu.trace.size(); ++s) {
-    EXPECT_EQ(res.cpu.trace[s].bytes_sent, res.mic.trace[s].bytes_received);
-    EXPECT_EQ(res.mic.trace[s].bytes_sent, res.cpu.trace[s].bytes_received);
+  auto res = cpu_mic(g, 1, 1, prog, cpu_cfg(), mic_cfg()).run();
+  // What one rank sends, the other receives, superstep by superstep.
+  const auto& cpu = res.ranks[0].trace;
+  const auto& mic = res.ranks[1].trace;
+  ASSERT_EQ(cpu.size(), mic.size());
+  for (std::size_t s = 0; s < cpu.size(); ++s) {
+    EXPECT_EQ(cpu[s].bytes_sent, mic[s].bytes_received);
+    EXPECT_EQ(mic[s].bytes_sent, cpu[s].bytes_received);
   }
 }
 

@@ -1,11 +1,15 @@
 // Partitioning tests: the three schemes' balance/communication trade-offs
-// (the mechanism behind Fig. 6) plus blocked-partitioner quality.
+// (the mechanism behind Fig. 6), blocked-partitioner quality, and the
+// partition file format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "src/gen/generators.hpp"
 #include "src/partition/partition.hpp"
@@ -14,7 +18,7 @@ namespace {
 
 using namespace phigraph;
 using partition::BlockedOptions;
-using partition::Ratio;
+using partition::RankWeights;
 
 graph::Csr skewed_graph() {
   // Pokec-like: hubs at the front — what breaks continuous partitioning.
@@ -23,19 +27,20 @@ graph::Csr skewed_graph() {
 
 TEST(Partition, ContinuousSplitsByVertexCount) {
   const auto g = skewed_graph();
-  const auto owner = partition::continuous_partition(g, {3, 5});
-  const auto s = partition::evaluate_partition(g, owner);
+  const auto owner = partition::continuous_partition_k(g, {3, 5});
+  const auto s = partition::evaluate_partition_k(g, owner, 2);
   EXPECT_NEAR(static_cast<double>(s.verts[0]) / g.num_vertices(), 3.0 / 8, 1e-3);
   // ... but the EDGE split is far off the requested 3:5 because the hubs
   // cluster in the CPU's range (the paper's §IV-E observation).
   EXPECT_GT(s.balance_error({3, 5}), 0.5);
+  EXPECT_GT(static_cast<double>(s.edges[0]) / g.num_edges(), 3.0 / 8);
 }
 
 TEST(Partition, RoundRobinBalancesEdgesButCutsEverything) {
   const auto g = skewed_graph();
-  const auto rr = partition::round_robin_partition(g, {1, 1});
-  const auto s = partition::evaluate_partition(g, rr);
-  EXPECT_LT(std::abs(s.balance_error({1, 1})), 0.05);
+  const auto rr = partition::round_robin_partition_k(g, {1, 1});
+  const auto s = partition::evaluate_partition_k(g, rr, 2);
+  EXPECT_LT(s.balance_error({1, 1}), 0.05);
   // Interleaved vertices cut roughly half of all edges at 1:1.
   EXPECT_GT(static_cast<double>(s.cross_edges) / g.num_edges(), 0.4);
 }
@@ -45,15 +50,17 @@ TEST(Partition, HybridIsBalancedAndCutsLessThanRoundRobin) {
   BlockedOptions opt;
   opt.num_blocks = 64;
   const auto bp = partition::blocked_min_cut(g, opt);
-  for (Ratio r : {Ratio{1, 1}, Ratio{3, 5}, Ratio{2, 1}, Ratio{1, 4}}) {
-    const auto hy = partition::hybrid_partition(bp, r);
-    const auto rr = partition::round_robin_partition(g, r);
-    const auto sh = partition::evaluate_partition(g, hy);
-    const auto sr = partition::evaluate_partition(g, rr);
-    EXPECT_LT(std::abs(sh.balance_error(r)), 0.2)  // 64 lumpy blocks: coarse granularity
-        << "ratio " << r.cpu << ":" << r.mic;
+  for (const RankWeights& r :
+       {RankWeights{1, 1}, RankWeights{3, 5}, RankWeights{2, 1},
+        RankWeights{1, 4}}) {
+    const auto sh = partition::evaluate_partition_k(
+        g, partition::hybrid_partition_k(bp, r), 2);
+    const auto sr = partition::evaluate_partition_k(
+        g, partition::round_robin_partition_k(g, r), 2);
+    EXPECT_LT(sh.balance_error(r), 0.2)  // 64 lumpy blocks: coarse granularity
+        << "ratio " << r[0] << ":" << r[1];
     EXPECT_LT(sh.cross_edges, sr.cross_edges)
-        << "ratio " << r.cpu << ":" << r.mic;
+        << "ratio " << r[0] << ":" << r[1];
   }
 }
 
@@ -62,12 +69,12 @@ TEST(Partition, BlockedPartitionReusableAcrossRatios) {
   // of Metis for different partitioning ratios."
   const auto g = gen::dblp_like(5000, 15000, 3);
   const auto bp = partition::blocked_min_cut(g, {.num_blocks = 32, .seed = 5});
-  const auto o1 = partition::hybrid_partition(bp, {1, 1});
-  const auto o2 = partition::hybrid_partition(bp, {1, 3});
-  const auto s1 = partition::evaluate_partition(g, o1);
-  const auto s2 = partition::evaluate_partition(g, o2);
-  EXPECT_LT(std::abs(s1.balance_error({1, 1})), 0.2);
-  EXPECT_LT(std::abs(s2.balance_error({1, 3})), 0.2);
+  const auto s1 = partition::evaluate_partition_k(
+      g, partition::hybrid_partition_k(bp, {1, 1}), 2);
+  const auto s2 = partition::evaluate_partition_k(
+      g, partition::hybrid_partition_k(bp, {1, 3}), 2);
+  EXPECT_LT(s1.balance_error({1, 1}), 0.2);
+  EXPECT_LT(s2.balance_error({1, 3}), 0.2);
 }
 
 TEST(Partition, BlockedMinCutQualityOnCommunityGraph) {
@@ -98,41 +105,90 @@ TEST(Partition, DegenerateSmallGraph) {
   // One vertex per block when blocks >= vertices.
   std::set<vid_t> used(bp.block_of.begin(), bp.block_of.end());
   EXPECT_EQ(used.size(), 10u);
-  const auto owner = partition::hybrid_partition(bp, {1, 1});
-  const auto s = partition::evaluate_partition(g, owner);
+  const auto s = partition::evaluate_partition_k(
+      g, partition::hybrid_partition_k(bp, {1, 1}), 2);
   EXPECT_EQ(s.verts[0] + s.verts[1], 10u);
+}
+
+std::string temp_path(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+void write_file(const std::string& path, const char* text) {
+  std::ofstream(path) << text;
 }
 
 TEST(Partition, FileRoundTrip) {
   const auto g = gen::erdos_renyi(100, 300, 2);
-  const auto owner = partition::round_robin_partition(g, {2, 3});
-  const auto path =
-      (std::filesystem::temp_directory_path() / "pg_part_test.txt").string();
+  const auto owner = partition::round_robin_partition_k(g, {2, 3, 1, 4});
+  const auto path = temp_path("pg_part_test.txt");
   partition::save_partition(owner, path);
-  const auto loaded = partition::load_partition(path);
-  EXPECT_EQ(owner, loaded);
+  EXPECT_EQ(partition::load_partition(path, 4), owner);
+  // The format is a count, then one rank per line: a two-rank file written
+  // by hand loads too.
+  write_file(path, "3\n0\n1\n1\n");
+  EXPECT_EQ(partition::load_partition(path, 2), (std::vector<int>{0, 1, 1}));
+  std::filesystem::remove(path);
+}
+
+TEST(Partition, BadFilesAreRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto path = temp_path("pg_part_bad_test.txt");
+  const auto rejects = [&](const char* text, int nranks) {
+    write_file(path, text);
+    (void)partition::load_partition(path, nranks);
+  };
+  EXPECT_DEATH(rejects("three\n0\n1\n1\n", 2), "not a vertex count");
+  EXPECT_DEATH(rejects("", 2), "not a vertex count");
+  EXPECT_DEATH(rejects("4\n0\n1\n", 2), "truncated after 2 of 4 entries");
+  EXPECT_DEATH(rejects("2\n0\n1\n1\n", 2), "trailing entry '1'");
+  EXPECT_DEATH(rejects("2\n0\n2\n", 2), "entry 1 is rank 2, outside");
+  EXPECT_DEATH(rejects("2\n-1\n0\n", 2), "entry 0 is rank -1, outside");
+  EXPECT_DEATH(rejects("2\n0\nx\n", 2), "'x' is not a rank number");
+  // A forged count fails as truncated rather than allocating for it.
+  EXPECT_DEATH(rejects("99999999999999\n0\n", 2), "truncated after 1 of");
   std::filesystem::remove(path);
 }
 
 // ---- k-way (N-rank) schemes -------------------------------------------------
 
+// The two-rank forms reproduce the paper's CPU:MIC schemes exactly: the
+// first n*a/(a+b) vertices on the CPU, a period of a CPU slots then b MIC
+// slots, and min-cut blocks dealt heaviest-first to the less loaded rank
+// (ties to the CPU).
 TEST(PartitionKway, TwoRankFormsMatchTheRatioSchemes) {
   const auto g = gen::pokec_like(2000, 16000, 9);
+  const vid_t n = g.num_vertices();
+  const auto bp = partition::blocked_min_cut(g, {.num_blocks = 64, .seed = 3});
   for (auto [a, b] : {std::pair{1, 1}, std::pair{2, 3}, std::pair{3, 5}}) {
-    const partition::RankWeights w{a, b};
-    const auto as_rank = [](const std::vector<Device>& o) {
-      std::vector<int> r(o.size());
-      for (std::size_t i = 0; i < o.size(); ++i)
-        r[i] = o[i] == Device::Cpu ? 0 : 1;
-      return r;
-    };
-    EXPECT_EQ(partition::continuous_partition_k(g, w),
-              as_rank(partition::continuous_partition(g, {a, b})));
-    EXPECT_EQ(partition::round_robin_partition_k(g, w),
-              as_rank(partition::round_robin_partition(g, {a, b})));
-    const auto bp = partition::blocked_min_cut(g, {.num_blocks = 64, .seed = 3});
-    EXPECT_EQ(partition::hybrid_partition_k(bp, w),
-              as_rank(partition::hybrid_partition(bp, {a, b})));
+    const RankWeights w{a, b};
+    const auto cont = partition::continuous_partition_k(g, w);
+    const auto rr = partition::round_robin_partition_k(g, w);
+    const vid_t split = static_cast<vid_t>(std::uint64_t{n} * a / (a + b));
+    for (vid_t v = 0; v < n; ++v) {
+      ASSERT_EQ(cont[v], v < split ? 0 : 1) << "vertex " << v;
+      ASSERT_EQ(rr[v], static_cast<int>(v % (a + b)) < a ? 0 : 1)
+          << "vertex " << v;
+    }
+    std::vector<int> order(static_cast<std::size_t>(bp.num_blocks));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int x, int y) {
+      return bp.block_edges[x] > bp.block_edges[y];
+    });
+    const double share[2] = {static_cast<double>(a) / (a + b),
+                             static_cast<double>(b) / (a + b)};
+    double load[2] = {0, 0};
+    std::vector<int> block_rank(order.size());
+    for (int blk : order) {
+      const double e = static_cast<double>(bp.block_edges[blk]) + 1e-9;
+      const int r =
+          (load[0] + e) / share[0] <= (load[1] + e) / share[1] ? 0 : 1;
+      block_rank[blk] = r;
+      load[r] += e;
+    }
+    const auto hy = partition::hybrid_partition_k(bp, w);
+    for (vid_t v = 0; v < n; ++v)
+      ASSERT_EQ(hy[v], block_rank[bp.block_of[v]]) << "vertex " << v;
   }
 }
 
@@ -208,12 +264,10 @@ TEST(PartitionKway, ZeroWeightRankReceivesNothing) {
 
 TEST(Partition, ExtremeRatios) {
   const auto g = gen::erdos_renyi(1000, 5000, 4);
-  const auto all_cpu = partition::continuous_partition(g, {1, 0});
-  for (Device d : all_cpu) EXPECT_EQ(d, Device::Cpu);
-  const auto all_mic = partition::continuous_partition(g, {0, 1});
-  for (Device d : all_mic) EXPECT_EQ(d, Device::Mic);
-  const auto hy = partition::hybrid_partition(g, {1, 0}, {.num_blocks = 8});
-  for (Device d : hy) EXPECT_EQ(d, Device::Cpu);
+  for (int r : partition::continuous_partition_k(g, {1, 0})) EXPECT_EQ(r, 0);
+  for (int r : partition::continuous_partition_k(g, {0, 1})) EXPECT_EQ(r, 1);
+  for (int r : partition::hybrid_partition_k(g, {1, 0}, {.num_blocks = 8}))
+    EXPECT_EQ(r, 0);
 }
 
 }  // namespace

@@ -46,53 +46,53 @@ PHASE_FIELDS = (
     "checkpoint",
 )
 
-# Numeric fields every top-level "failover" object must carry (the recovery
-# ladder's outcome: attempts/epochs/rung/lost_supersteps plus wall time). A
-# missing or renamed field is a schema error — the emitter and this gate must
-# move in lockstep, or a rename would silently disarm the failover check.
-FAILOVER_FIELDS = (
-    "failed_over",
-    "attempts",
-    "epochs",
-    "rung",
-    "lost_supersteps",
-    "recovery_ms",
-)
+# Top-level schema sections every bench JSON carries (all-zero when a bench
+# does not exercise the subsystem) and the numeric fields each must hold. A
+# missing or renamed field is a schema error, not a silent skip: the emitter
+# and this gate move in lockstep, or a rename would silently disarm a check.
+# Only the schema is gated; values are not compared across files (recovery
+# wall time, serving throughput/latency and partition quality are host noise
+# or gated by the benches' own acceptance checks).
+SECTIONS = {
+    # The recovery ladder's outcome: attempts/epochs/rung/lost supersteps
+    # plus wall time.
+    "failover": (
+        "failed_over",
+        "attempts",
+        "epochs",
+        "rung",
+        "lost_supersteps",
+        "recovery_ms",
+    ),
+    # The multi-query serving layer: batching effectiveness, the edge-scan
+    # savings of the shared run, and tail latency.
+    "serving": (
+        "jobs",
+        "batches",
+        "lanes",
+        "jobs_per_sec",
+        "edge_scans_sequential",
+        "edge_scans_batched",
+        "scan_reduction",
+        "p50_latency_ms",
+        "p99_latency_ms",
+        "max_queue_depth",
+    ),
+    # The k-way streaming vertex-cut comparison: HDRF's replication factor,
+    # load imbalance and measured cut bytes against round-robin.
+    "partition": (
+        "ranks",
+        "replication_factor",
+        "load_imbalance",
+        "cut_bytes",
+        "round_robin_replication_factor",
+        "round_robin_cut_bytes",
+    ),
+}
 
-# Numeric fields every top-level "serving" object must carry (the multi-query
-# serving layer's outcome: batching effectiveness, the edge-scan savings of
-# the shared run, and tail latency). Same lockstep rule as FAILOVER_FIELDS:
-# a missing or renamed field is a schema error, not a silent skip. The values
-# themselves are NOT compared across files — throughput and latency are
-# host-noise; only the schema is gated here.
-SERVING_FIELDS = (
-    "jobs",
-    "batches",
-    "lanes",
-    "jobs_per_sec",
-    "edge_scans_sequential",
-    "edge_scans_batched",
-    "scan_reduction",
-    "p50_latency_ms",
-    "p99_latency_ms",
-    "max_queue_depth",
-)
 
-# Numeric fields every top-level "partition" object must carry (the k-way
-# streaming vertex-cut comparison: HDRF's replication factor, load imbalance
-# and measured cut bytes against the round-robin baseline). Same lockstep
-# rule as the failover and serving objects: a missing or renamed field is a
-# schema error, not a silent skip. Values are not compared across files —
-# partition quality is a property of the scheme, gated by the bench's own
-# acceptance checks; only the schema is gated here.
-PARTITION_FIELDS = (
-    "ranks",
-    "replication_factor",
-    "load_imbalance",
-    "cut_bytes",
-    "round_robin_replication_factor",
-    "round_robin_cut_bytes",
-)
+def is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def load(path: str) -> dict:
@@ -116,97 +116,39 @@ def versions_by_name(doc: dict, path: str) -> dict[str, dict]:
     return out
 
 
-def check_failover(doc: dict, path: str, rep: "Report") -> None:
-    """Validate the top-level "failover" object against FAILOVER_FIELDS.
+def check_sections(doc: dict, path: str, rep: "Report") -> None:
+    """Validate every top-level schema section against SECTIONS.
 
-    Every bench emits the object (all-zero on fault-free runs), so a missing
-    object or a missing/non-numeric field is a hard schema error.
+    Every bench emits each section, so a missing object or a
+    missing/non-numeric field is a hard schema error.
     """
-    fo = doc.get("failover")
-    if not isinstance(fo, dict):
-        rep.errors.append(
-            f"{path}: top-level 'failover' object is missing or not an "
-            f"object (the bench emitter always writes one)"
-        )
-        return
-    for field in FAILOVER_FIELDS:
-        if field not in fo:
+    for section, fields in SECTIONS.items():
+        obj = doc.get(section)
+        if not isinstance(obj, dict):
             rep.errors.append(
-                f"{path}: failover field '{field}' is missing — renamed or "
-                f"dropped? The failover-schema gate cannot run without it."
+                f"{path}: top-level '{section}' object is missing or not an "
+                f"object (the bench emitter always writes one)"
             )
-        elif not isinstance(fo[field], (int, float)) or isinstance(
-            fo[field], bool
-        ):
-            rep.errors.append(
-                f"{path}: failover field '{field}' is {fo[field]!r}, "
-                f"not a number"
-            )
-    erm = fo.get("epoch_recovery_ms")
-    if not isinstance(erm, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in erm
-    ):
-        rep.errors.append(
-            f"{path}: failover field 'epoch_recovery_ms' must be a list of "
-            f"numbers (got {erm!r})"
-        )
-
-
-def check_serving(doc: dict, path: str, rep: "Report") -> None:
-    """Validate the top-level "serving" object against SERVING_FIELDS.
-
-    Every bench emits the object (all-zero for non-serving benches), so a
-    missing object or a missing/non-numeric field is a hard schema error.
-    """
-    sv = doc.get("serving")
-    if not isinstance(sv, dict):
-        rep.errors.append(
-            f"{path}: top-level 'serving' object is missing or not an "
-            f"object (the bench emitter always writes one)"
-        )
-        return
-    for field in SERVING_FIELDS:
-        if field not in sv:
-            rep.errors.append(
-                f"{path}: serving field '{field}' is missing — renamed or "
-                f"dropped? The serving-schema gate cannot run without it."
-            )
-        elif not isinstance(sv[field], (int, float)) or isinstance(
-            sv[field], bool
-        ):
-            rep.errors.append(
-                f"{path}: serving field '{field}' is {sv[field]!r}, "
-                f"not a number"
-            )
-
-
-def check_partition(doc: dict, path: str, rep: "Report") -> None:
-    """Validate the top-level "partition" object against PARTITION_FIELDS.
-
-    Every bench emits the object (all-zero for benches that skip the k-way
-    comparison), so a missing object or a missing/non-numeric field is a
-    hard schema error.
-    """
-    pt = doc.get("partition")
-    if not isinstance(pt, dict):
-        rep.errors.append(
-            f"{path}: top-level 'partition' object is missing or not an "
-            f"object (the bench emitter always writes one)"
-        )
-        return
-    for field in PARTITION_FIELDS:
-        if field not in pt:
-            rep.errors.append(
-                f"{path}: partition field '{field}' is missing — renamed or "
-                f"dropped? The partition-schema gate cannot run without it."
-            )
-        elif not isinstance(pt[field], (int, float)) or isinstance(
-            pt[field], bool
-        ):
-            rep.errors.append(
-                f"{path}: partition field '{field}' is {pt[field]!r}, "
-                f"not a number"
-            )
+            continue
+        for field in fields:
+            if field not in obj:
+                rep.errors.append(
+                    f"{path}: {section} field '{field}' is missing — renamed "
+                    f"or dropped? The {section}-schema gate cannot run "
+                    f"without it."
+                )
+            elif not is_number(obj[field]):
+                rep.errors.append(
+                    f"{path}: {section} field '{field}' is {obj[field]!r}, "
+                    f"not a number"
+                )
+        if section == "failover":
+            erm = obj.get("epoch_recovery_ms")
+            if not isinstance(erm, list) or not all(map(is_number, erm)):
+                rep.errors.append(
+                    f"{path}: failover field 'epoch_recovery_ms' must be a "
+                    f"list of numbers (got {erm!r})"
+                )
 
 
 def phase_totals(version: dict) -> dict[str, float] | None:
@@ -280,12 +222,8 @@ def main() -> int:
     cand_vs = versions_by_name(cand_doc, args.candidate)
 
     rep = Report()
-    check_failover(base_doc, args.baseline, rep)
-    check_failover(cand_doc, args.candidate, rep)
-    check_serving(base_doc, args.baseline, rep)
-    check_serving(cand_doc, args.candidate, rep)
-    check_partition(base_doc, args.baseline, rep)
-    check_partition(cand_doc, args.candidate, rep)
+    check_sections(base_doc, args.baseline, rep)
+    check_sections(cand_doc, args.candidate, rep)
     for key in ("figure", "app", "scale"):
         if base_doc.get(key) != cand_doc.get(key):
             rep.errors.append(
