@@ -149,6 +149,15 @@ struct CsbParam {
   ColumnMode mode;
 };
 
+// gtest prints a CsbParam as its raw bytes, padding included, and ctest
+// names each case after that print. A table with static storage has its
+// padding zeroed, so the names are the same on every run.
+constexpr CsbParam kGeometries[] = {
+    {4, 2, ColumnMode::kDynamic},  {4, 2, ColumnMode::kOneToOne},
+    {16, 2, ColumnMode::kDynamic}, {16, 4, ColumnMode::kDynamic},
+    {8, 1, ColumnMode::kDynamic},  {1, 2, ColumnMode::kDynamic},
+    {16, 2, ColumnMode::kOneToOne}};
+
 class CsbProperty : public ::testing::TestWithParam<CsbParam> {};
 
 TEST_P(CsbProperty, MessagesAreConservedAndPlacedPerDestination) {
@@ -213,15 +222,8 @@ TEST_P(CsbProperty, ResetClearsEverything) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, CsbProperty,
-    ::testing::Values(CsbParam{4, 2, ColumnMode::kDynamic},
-                      CsbParam{4, 2, ColumnMode::kOneToOne},
-                      CsbParam{16, 2, ColumnMode::kDynamic},
-                      CsbParam{16, 4, ColumnMode::kDynamic},
-                      CsbParam{8, 1, ColumnMode::kDynamic},
-                      CsbParam{1, 2, ColumnMode::kDynamic},
-                      CsbParam{16, 2, ColumnMode::kOneToOne}));
+INSTANTIATE_TEST_SUITE_P(Geometries, CsbProperty,
+                         ::testing::ValuesIn(kGeometries));
 
 TEST(CsbConcurrency, ParallelLockingInsertIsLossless) {
   const vid_t n = 256;
